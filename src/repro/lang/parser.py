@@ -71,67 +71,47 @@ class _RuleParser(_Parser):
 
     # -- small helpers -----------------------------------------------------------
 
-    def _at_kw(self, word: str) -> bool:
-        token = self._peek()
-        return token.kind == "ident" and token.value == word
-
-    def _eat_kw(self, word: str) -> bool:
-        if self._at_kw(word):
-            self._advance()
-            return True
-        return False
-
     def _expect_kw(self, word: str) -> None:
-        token = self._peek()
-        if not self._eat_kw(word):
-            raise ParseError(
-                f"expected {word!r}, found {token.value or token.kind!r}",
-                token.position, token.line,
-            )
+        if not self._eat_keyword(word):
+            raise self._unexpected(repr(word))
 
     def _name(self) -> str:
         return self._expect_label()
 
     def _uri(self) -> "str | Var":
-        token = self._peek()
-        if token.kind == "string":
-            return self._advance().value
-        if self._at_keyword("var"):
-            self._advance()
-            return Var(self._expect("ident").value)
-        raise ParseError(
-            f"expected a URI string or var, found {token.value or token.kind!r}",
-            token.position, token.line,
-        )
+        if self._peek()[0] == "string":
+            return self._advance()
+        if self._eat_keyword("var"):
+            return Var(self._expect("ident"))
+        raise self._unexpected("a URI string or var")
 
     def _number(self) -> float:
-        token = self._expect("number")
-        return float(token.value)
+        return float(self._expect("number"))
 
     def _int(self) -> int:
-        token = self._expect("number")
+        token = self._peek()
+        value = self._expect("number")
         try:
-            return int(token.value)
+            return int(value)
         except ValueError as exc:
-            raise ParseError(f"expected an integer, found {token.value!r}",
-                             token.position, token.line) from exc
+            raise self._error(f"expected an integer, found {value!r}", token) from exc
 
     # -- events -------------------------------------------------------------------
 
     def parse_event(self):
         members = [self._event_seq()]
-        while self._eat_kw("OR"):
+        while self._eat_keyword("OR"):
             members.append(self._event_seq())
         return members[0] if len(members) == 1 else EOr(*members)
 
     def _event_seq(self):
         members = [self._event_conj()]
         has_seq = False
-        while self._eat_kw("THEN"):
+        while self._eat_keyword("THEN"):
             has_seq = True
-            if self._eat_kw("NOT"):
+            if self._eat_keyword("NOT"):
                 members.append(ENot(self.parse_query()))
-                if self._eat_kw("THEN"):
+                if self._eat_keyword("THEN"):
                     members.append(self._event_conj())
             else:
                 members.append(self._event_conj())
@@ -139,18 +119,18 @@ class _RuleParser(_Parser):
 
     def _event_conj(self):
         members = [self._event_prim()]
-        while self._eat_kw("AND"):
+        while self._eat_keyword("AND"):
             members.append(self._event_prim())
         return members[0] if len(members) == 1 else EAnd(*members)
 
     def _event_prim(self):
-        if self._eat_kw("WITHIN"):
+        if self._eat_keyword("WITHIN"):
             window = self._number()
             self._expect("punct", "(")
             inner = self.parse_event()
             self._expect("punct", ")")
             return EWithin(inner, window)
-        if self._eat_kw("COUNT"):
+        if self._eat_keyword("COUNT"):
             n = self._int()
             self._expect_kw("OF")
             pattern = self.parse_query()
@@ -158,30 +138,30 @@ class _RuleParser(_Parser):
             window = self._number()
             group = self._group_by()
             return ECount(pattern, n, window, group)
-        if self._eat_kw("AGG"):
-            fn = self._expect("ident").value
+        if self._eat_keyword("AGG"):
+            fn = self._expect("ident")
             if fn not in _AGG_FNS:
                 raise ParseError(f"unknown aggregate function {fn!r}")
             self._expect("ident", "var")
-            on = self._expect("ident").value
+            on = self._expect("ident")
             self._expect_kw("OF")
             pattern = self.parse_query()
             size = None
             window = None
-            if self._eat_kw("LAST"):
+            if self._eat_keyword("LAST"):
                 size = self._int()
             else:
                 self._expect_kw("WITHIN")
                 window = self._number()
             self._expect_kw("INTO")
             self._expect("ident", "var")
-            into = self._expect("ident").value
+            into = self._expect("ident")
             group = self._group_by()
             predicate = None
-            if self._eat_kw("RISE"):
+            if self._eat_keyword("RISE"):
                 predicate = ("rise%", self._number())
-            elif self._eat_kw("WHEN"):
-                op = self._expect("cmp").value
+            elif self._eat_keyword("WHEN"):
+                op = self._expect("cmp")
                 predicate = (op, self._number())
             return EAggregate(pattern, on, fn, into, size=size, window=window,
                               group_by=group, predicate=predicate)
@@ -192,18 +172,18 @@ class _RuleParser(_Parser):
             return inner
         pattern = self.parse_query()
         alias = None
-        if self._eat_kw("AS"):
+        if self._eat_keyword("AS"):
             self._expect("ident", "var")
-            alias = self._expect("ident").value
+            alias = self._expect("ident")
         return EAtom(pattern, alias=alias)
 
     def _group_by(self) -> tuple[str, ...]:
-        if not self._eat_kw("BY"):
+        if not self._eat_keyword("BY"):
             return ()
         self._expect("punct", "[")
         names = []
         while not self._at_punct("]"):
-            names.append(self._expect("ident").value)
+            names.append(self._expect("ident"))
             if not self._eat_punct(","):
                 break
         self._expect("punct", "]")
@@ -213,142 +193,133 @@ class _RuleParser(_Parser):
 
     def parse_condition(self):
         members = [self._cond_and()]
-        while self._eat_kw("OR"):
+        while self._eat_keyword("OR"):
             members.append(self._cond_and())
         return members[0] if len(members) == 1 else cond.OrCond(*members)
 
     def _cond_and(self):
         members = [self._cond_prim()]
-        while self._eat_kw("AND"):
+        while self._eat_keyword("AND"):
             members.append(self._cond_prim())
         return members[0] if len(members) == 1 else cond.AndCond(*members)
 
     def _cond_prim(self):
-        if self._eat_kw("TRUE"):
+        if self._eat_keyword("TRUE"):
             return cond.TrueCond()
-        if self._eat_kw("NOT"):
+        if self._eat_keyword("NOT"):
             return cond.NotCond(self._cond_prim())
         if self._at_punct("("):
             self._advance()
             inner = self.parse_condition()
             self._expect("punct", ")")
             return inner
-        if self._eat_kw("IN"):
+        if self._eat_keyword("IN"):
             uri = self._uri()
             self._expect("punct", ":")
             query = self.parse_query()
             return cond.QueryCond(uri, query)
         # comparison: construct op construct
         lhs = self.parse_construct()
-        token = self._peek()
-        if token.kind != "cmp":
-            raise ParseError(
-                f"expected a comparison operator, found {token.value or token.kind!r}",
-                token.position, token.line,
-            )
-        op = self._advance().value
+        if self._peek()[0] != "cmp":
+            raise self._unexpected("a comparison operator")
+        op = self._advance()
         rhs = self.parse_construct()
         return cond.CompareCond(lhs, op, rhs)
 
     # -- actions -----------------------------------------------------------------------
 
     def parse_action(self):
-        if self._eat_kw("SEQUENCE"):
+        if self._eat_keyword("SEQUENCE"):
             steps = [self.parse_action()]
-            while self._eat_kw("ALSO"):
+            while self._eat_keyword("ALSO"):
                 steps.append(self.parse_action())
             self._expect_kw("END")
-            atomic = not self._eat_kw("NONATOMIC")
+            atomic = not self._eat_keyword("NONATOMIC")
             return act.Sequence(*steps, atomic=atomic)
-        if self._eat_kw("TRY"):
+        if self._eat_keyword("TRY"):
             options = [self.parse_action()]
-            while self._eat_kw("ELSETRY"):
+            while self._eat_keyword("ELSETRY"):
                 options.append(self.parse_action())
             self._expect_kw("END")
             return act.Alternative(*options)
-        if self._eat_kw("WHEN"):
+        if self._eat_keyword("WHEN"):
             condition = self.parse_condition()
             self._expect_kw("THEN")
             then = self.parse_action()
-            otherwise = self.parse_action() if self._eat_kw("ELSE") else None
+            otherwise = self.parse_action() if self._eat_keyword("ELSE") else None
             self._expect_kw("END")
             return act.Conditional(condition, then, otherwise)
-        if self._eat_kw("RAISE"):
+        if self._eat_keyword("RAISE"):
             self._expect_kw("TO")
             to = self._uri()
             return act.Raise(to, self.parse_construct())
-        if self._eat_kw("INSERT"):
+        if self._eat_keyword("INSERT"):
             payload = self.parse_construct()
             self._expect_kw("INTO")
             uri = self._uri()
             self._expect_kw("AT")
             target = self.parse_query()
-            position = "start" if self._eat_kw("START") else "end"
+            position = "start" if self._eat_keyword("START") else "end"
             return act.Update(uri, "insert", target, payload, position)
-        if self._eat_kw("DELETE"):
+        if self._eat_keyword("DELETE"):
             target = self.parse_query()
             self._expect_kw("FROM")
             return act.Update(self._uri(), "delete", target)
-        if self._eat_kw("REPLACE"):
+        if self._eat_keyword("REPLACE"):
             target = self.parse_query()
             self._expect_kw("IN")
             uri = self._uri()
             self._expect_kw("BY")
             return act.Update(uri, "replace", target, self.parse_construct())
-        if self._eat_kw("PUT"):
+        if self._eat_keyword("PUT"):
             uri = self._uri()
             return act.PutResource(uri, self.parse_construct())
-        if self._eat_kw("DELETERESOURCE"):
+        if self._eat_keyword("DELETERESOURCE"):
             return act.DeleteResource(self._uri())
-        if self._eat_kw("PERSIST"):
+        if self._eat_keyword("PERSIST"):
             content = self.parse_construct()
             self._expect_kw("INTO")
             uri = self._uri()
-            root = self._name() if self._eat_kw("ROOT") else "log"
+            root = self._name() if self._eat_keyword("ROOT") else "log"
             return act.Persist(uri, content, root)
-        if self._eat_kw("CALL"):
+        if self._eat_keyword("CALL"):
             name = self._name()
             args = []
             if self._eat_punct("("):
                 while not self._at_punct(")"):
-                    param = self._expect("ident").value
+                    param = self._expect("ident")
                     self._expect("eq")
                     args.append((param, self.parse_construct()))
                     if not self._eat_punct(","):
                         break
                 self._expect("punct", ")")
             return act.CallProcedure(name, tuple(args))
-        if self._eat_kw("INSTALL"):
+        if self._eat_keyword("INSTALL"):
             return act.InstallRule(self.parse_construct())
-        if self._eat_kw("UNINSTALL"):
-            if self._at_keyword("var"):
-                self._advance()
-                return act.UninstallRule(Var(self._expect("ident").value))
+        if self._eat_keyword("UNINSTALL"):
+            if self._eat_keyword("var"):
+                return act.UninstallRule(Var(self._expect("ident")))
             return act.UninstallRule(self._name())
-        token = self._peek()
-        raise ParseError(
-            f"expected an action keyword, found {token.value or token.kind!r}",
-            token.position, token.line,
-        )
+        raise self._unexpected("an action keyword")
 
     # -- rules -------------------------------------------------------------------------
 
     def parse_one_rule(self) -> ECARule:
         self._expect_kw("RULE")
         name = self._name()
-        firing = "first" if self._eat_kw("FIRST") else "all"
+        firing = "first" if self._eat_keyword("FIRST") else "all"
         self._expect_kw("ON")
         event = self.parse_event()
         branches = []
         otherwise = None
-        while self._eat_kw("IF"):
+        while self._eat_keyword("IF"):
             condition = self.parse_condition()
             self._expect_kw("DO")
             branches.append((condition, self.parse_action()))
         if not branches:
             self._expect_kw("DO")
             branches.append((None, self.parse_action()))
-        if self._eat_kw("ELSE"):
+        if self._eat_keyword("ELSE"):
             otherwise = self.parse_action()
         return ECARule(name, event, tuple(branches), otherwise, firing)
 
@@ -356,20 +327,20 @@ class _RuleParser(_Parser):
         """Yield rules / (name, params, action) procedures / RuleSets."""
         items = []
         while True:
-            if self._at_kw("RULE"):
+            if self._at_keyword("RULE"):
                 items.append(self.parse_one_rule())
-            elif self._at_kw("PROCEDURE"):
+            elif self._at_keyword("PROCEDURE"):
                 self._advance()
                 name = self._name()
                 params = []
                 self._expect("punct", "(")
                 while not self._at_punct(")"):
-                    params.append(self._expect("ident").value)
+                    params.append(self._expect("ident"))
                     if not self._eat_punct(","):
                         break
                 self._expect("punct", ")")
                 items.append(("procedure", name, tuple(params), self.parse_action()))
-            elif self._at_kw("RULESET"):
+            elif self._at_keyword("RULESET"):
                 self._advance()
                 name = self._name()
                 ruleset = RuleSet(name)
@@ -386,13 +357,9 @@ class _RuleParser(_Parser):
             else:
                 if not toplevel:
                     return items
-                token = self._peek()
-                if token.kind == "end":
+                if self._peek()[0] == "end":
                     return items
-                raise ParseError(
-                    f"expected RULE/PROCEDURE/RULESET, found {token.value or token.kind!r}",
-                    token.position, token.line,
-                )
+                raise self._unexpected("RULE/PROCEDURE/RULESET")
 
 
 def _merge_ruleset(target: RuleSet, source: RuleSet) -> None:

@@ -19,14 +19,18 @@ The syntax follows Xcerpt's look and feel:
   written back-quoted: ``` `var`{...} ```.
 
 :func:`to_text` serialises any term such that parsing the output yields an
-equal term (round-trip property, tested with hypothesis).
+equal term (round-trip property, tested with hypothesis); it refuses, with a
+:class:`~repro.errors.TermError`, what the text cannot carry.  Malformed text
+always raises :class:`~repro.errors.ParseError`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+import re
+from typing import Any, Callable
 
-from repro.errors import ParseError
+from repro.errors import ParseError, TermError
 from repro.terms.ast import (
     Agg,
     All,
@@ -44,7 +48,6 @@ from repro.terms.ast import (
     RegexMatch,
     Var,
     Without,
-    is_scalar,
 )
 
 _KEYWORDS = frozenset(
@@ -56,225 +59,200 @@ _KEYWORDS = frozenset(
 
 _AGG_FNS = frozenset(["count", "sum", "avg", "min", "max", "first", "last"])
 
-_PUNCT = frozenset("{}[](),@^*:;")
 
-_CMP_OPS = ("==", "!=", "<=", ">=", "<", ">")
+# Pieces the scanner and its error messages share.  An identifier starts
+# with a letter or "_" and never ends in ".", "-" or ":" (keeps "a.b." and
+# "X :" apart); a string body allows only the escapes ``_UNESCAPE`` knows.
+_IDENT_TAIL = r"(?:[\w.:-]*\w)?"
+_STRING_BODY = r'[^"\\]*(?:\\[ntr"\\][^"\\]*)*'
+
+# One master pattern: skip whitespace and ``#`` comments, then exactly one
+# alternative matches.  ``\w``/``\d``/``\s`` are the str.isalnum (+ "_") /
+# str.isdecimal / str.isspace classes.  ``uident`` is an identifier whose
+# first character is non-ASCII; it is kept only if that character is a
+# letter.  ``error`` catches everything else, including unterminated
+# strings and back-quotes.
+_TOKEN_RE = re.compile(
+    rf"""
+    \s*(?:\#[^\n]*\s*)*
+    (?:
+      (?P<ident>[A-Za-z_]{_IDENT_TAIL})
+    | (?P<punct>[{{}}\[\](),@^*:;])
+    | (?P<string>"{_STRING_BODY}")
+    | (?P<number>-?\d+(?:\.\d*)?(?:[eE][+-]?\d+)?)
+    | (?P<arrow>->)
+    | (?P<cmp>[=!<>]=|[<>])
+    | (?P<eq>=)
+    | (?P<qident>`[^`]*`)
+    | (?P<uident>[^\W\d\x00-\x7f]{_IDENT_TAIL})
+    | (?P<end>\Z)
+    | (?P<error>.)
+    )
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+
+_ESCAPE_RE = re.compile(r"\\(.)")
+_UNESCAPE = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\"}
+# Where the string alternative's body stops is the fault of a string the
+# scanner refused.
+_STRING_BODY_RE = re.compile(_STRING_BODY)
+
+_PLAIN = frozenset(["ident", "punct", "number", "arrow", "cmp", "eq"])
+
+#: A token is a plain ``(kind, value, position)`` tuple: kind is ident,
+#: qident, string, number, punct, cmp, arrow, eq or end; position is the
+#: offset of its first character.  Its line is counted only for an error.
+_Token = tuple[str, str, int]
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # ident, string, number, punct, cmp, arrow, eq, end
-    value: str
-    position: int
-    line: int
+def _scan(text: str) -> list[_Token]:
+    """Tokenize *text*; the last token is always ``end``."""
+    tokens: list[_Token] = []
+    append = tokens.append
+    for match in _TOKEN_RE.finditer(text):
+        kind = match.lastgroup
+        value = match[kind]
+        if kind in _PLAIN:
+            append((kind, value, match.start(kind)))
+        elif kind == "string":
+            value = value[1:-1]
+            if "\\" in value:
+                value = _ESCAPE_RE.sub(lambda m: _UNESCAPE[m[1]], value)
+            append((kind, value, match.start(kind)))
+        elif kind == "qident":
+            append((kind, value[1:-1], match.start(kind)))
+        elif kind == "uident" and value[0].isalpha():
+            append(("ident", value, match.start(kind)))
+        elif kind == "end":
+            # After trailing whitespace, finditer would also yield the
+            # empty match at the very end: a second end token.
+            append((kind, value, len(text)))
+            break
+        else:
+            raise _scan_error(text, match.start(kind))
+    return tokens
 
 
-class _Tokenizer:
-    """Hand-written tokenizer shared by all three term parsers."""
+def _line(text: str, position: int) -> int:
+    return text.count("\n", 0, position) + 1
 
-    def __init__(self, text: str) -> None:
-        self._text = text
-        self._pos = 0
-        self._line = 1
 
-    def tokens(self) -> list[_Token]:
-        out = []
-        while True:
-            token = self._next()
-            out.append(token)
-            if token.kind == "end":
-                return out
-
-    def _error(self, message: str) -> ParseError:
-        return ParseError(message, self._pos, self._line)
-
-    def _next(self) -> _Token:
-        text = self._text
-        while self._pos < len(text):
-            ch = text[self._pos]
-            if ch == "\n":
-                self._line += 1
-                self._pos += 1
-            elif ch.isspace():
-                self._pos += 1
-            elif ch == "#":  # comment to end of line
-                while self._pos < len(text) and text[self._pos] != "\n":
-                    self._pos += 1
-            else:
-                break
-        if self._pos >= len(text):
-            return _Token("end", "", self._pos, self._line)
-        start, line = self._pos, self._line
-        ch = text[start]
-        two = text[start : start + 2]
-        if two == "->":
-            self._pos += 2
-            return _Token("arrow", "->", start, line)
-        if two in ("==", "!=", "<=", ">="):
-            self._pos += 2
-            return _Token("cmp", two, start, line)
-        if ch in "<>":
-            self._pos += 1
-            return _Token("cmp", ch, start, line)
-        if ch == "=":
-            self._pos += 1
-            return _Token("eq", "=", start, line)
-        if ch in _PUNCT:
-            self._pos += 1
-            return _Token("punct", ch, start, line)
-        if ch == '"':
-            return self._string(start, line)
-        if ch == "`":
-            return self._quoted_ident(start, line)
-        if ch.isdigit() or (ch == "-" and start + 1 < len(text) and text[start + 1].isdigit()):
-            return self._number(start, line)
-        if ch.isalpha() or ch == "_":
-            return self._ident(start, line)
-        raise self._error(f"unexpected character {ch!r}")
-
-    def _string(self, start: int, line: int) -> _Token:
-        text = self._text
-        pos = start + 1
-        parts: list[str] = []
-        while pos < len(text):
-            ch = text[pos]
-            if ch == '"':
-                self._pos = pos + 1
-                return _Token("string", "".join(parts), start, line)
-            if ch == "\\":
-                if pos + 1 >= len(text):
-                    break
-                escape = text[pos + 1]
-                mapped = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\"}.get(escape)
-                if mapped is None:
-                    raise ParseError(f"bad escape \\{escape}", pos, line)
-                parts.append(mapped)
-                pos += 2
-            else:
-                if ch == "\n":
-                    self._line += 1
-                parts.append(ch)
-                pos += 1
-        raise ParseError("unterminated string literal", start, line)
-
-    def _quoted_ident(self, start: int, line: int) -> _Token:
-        text = self._text
-        pos = start + 1
-        while pos < len(text) and text[pos] != "`":
-            pos += 1
-        if pos >= len(text):
-            raise ParseError("unterminated back-quoted label", start, line)
-        self._pos = pos + 1
-        return _Token("qident", text[start + 1 : pos], start, line)
-
-    def _number(self, start: int, line: int) -> _Token:
-        text = self._text
-        pos = start + 1 if text[start] == "-" else start
-        while pos < len(text) and text[pos].isdigit():
-            pos += 1
-        if pos < len(text) and text[pos] == ".":
-            pos += 1
-            while pos < len(text) and text[pos].isdigit():
-                pos += 1
-        if pos < len(text) and text[pos] in "eE":
-            probe = pos + 1
-            if probe < len(text) and text[probe] in "+-":
-                probe += 1
-            if probe < len(text) and text[probe].isdigit():
-                pos = probe
-                while pos < len(text) and text[pos].isdigit():
-                    pos += 1
-        self._pos = pos
-        return _Token("number", text[start:pos], start, line)
-
-    def _ident(self, start: int, line: int) -> _Token:
-        text = self._text
-        pos = start
-        while pos < len(text) and (text[pos].isalnum() or text[pos] in "_-.:"):
-            pos += 1
-        # Do not swallow a trailing '.', '-', or ':' (keeps "a.b." and
-        # "X :" round-trippable; namespace colons mid-ident are preserved).
-        while pos > start and text[pos - 1] in ".-:":
-            pos -= 1
-        self._pos = pos
-        return _Token("ident", text[start:pos], start, line)
+def _scan_error(text: str, start: int) -> ParseError:
+    """The error for the lexeme that no token alternative accepts at *start*."""
+    line = _line(text, start)
+    ch = text[start]
+    if ch == '"':
+        pos = _STRING_BODY_RE.match(text, start + 1).end()
+        if pos + 1 < len(text):  # stopped at a backslash before a bad escape
+            return ParseError(f"bad escape \\{text[pos + 1]}", pos, line)
+        return ParseError("unterminated string literal", start, line)
+    if ch == "`":
+        return ParseError("unterminated back-quoted label", start, line)
+    return ParseError(f"unexpected character {ch!r}", start, line)
 
 
 class _Parser:
     """Recursive-descent parser over the token list."""
 
     def __init__(self, text: str) -> None:
-        self._tokens = _Tokenizer(text).tokens()
+        self._text = text
+        self._tokens = _scan(text)
         self._index = 0
 
     # -- token helpers -------------------------------------------------------
 
-    def _peek(self, ahead: int = 0) -> _Token:
-        index = min(self._index + ahead, len(self._tokens) - 1)
-        return self._tokens[index]
+    def _error(self, message: str, token: _Token | None = None) -> ParseError:
+        """A :class:`ParseError` at *token* (default: the current token)."""
+        if token is None:
+            token = self._tokens[self._index]
+        return ParseError(message, token[2], _line(self._text, token[2]))
 
-    def _advance(self) -> _Token:
-        token = self._tokens[self._index]
-        if token.kind != "end":
+    def _unexpected(self, want: str) -> ParseError:
+        kind, value, _ = self._tokens[self._index]
+        return self._error(f"expected {want}, found {value or kind!r}")
+
+    def _peek(self) -> _Token:
+        return self._tokens[self._index]
+
+    def _advance(self) -> str:
+        """Consume the current token (never past ``end``); return its value."""
+        kind, value, _ = self._tokens[self._index]
+        if kind != "end":
             self._index += 1
-        return token
+        return value
 
-    def _expect(self, kind: str, value: str | None = None) -> _Token:
-        token = self._peek()
-        if token.kind != kind or (value is not None and token.value != value):
-            want = value if value is not None else kind
-            raise ParseError(f"expected {want!r}, found {token.value or token.kind!r}",
-                             token.position, token.line)
-        return self._advance()
+    def _expect(self, kind: str, value: str | None = None) -> str:
+        """Consume a token of *kind* (and *value*, if given); return its value."""
+        token = self._tokens[self._index]
+        if token[0] != kind or (value is not None and token[1] != value):
+            raise self._unexpected(repr(value if value is not None else kind))
+        self._index += 1
+        return token[1]
 
     def _expect_label(self) -> str:
-        token = self._peek()
-        if token.kind not in ("ident", "qident"):
-            raise ParseError(f"expected a label, found {token.value or token.kind!r}",
-                             token.position, token.line)
-        return self._advance().value
+        kind, value, _ = self._tokens[self._index]
+        if kind == "ident" or kind == "qident":
+            self._index += 1
+            return value
+        raise self._unexpected("a label")
 
     def _at_punct(self, value: str) -> bool:
-        token = self._peek()
-        return token.kind == "punct" and token.value == value
+        token = self._tokens[self._index]
+        return token[1] == value and token[0] == "punct"
 
     def _at_keyword(self, word: str) -> bool:
-        token = self._peek()
-        return token.kind == "ident" and token.value == word
+        token = self._tokens[self._index]
+        return token[1] == word and token[0] == "ident"
 
     def _eat_punct(self, value: str) -> bool:
-        if self._at_punct(value):
-            self._advance()
+        token = self._tokens[self._index]
+        if token[1] == value and token[0] == "punct":
+            self._index += 1
+            return True
+        return False
+
+    def _eat_keyword(self, word: str) -> bool:
+        token = self._tokens[self._index]
+        if token[1] == word and token[0] == "ident":
+            self._index += 1
             return True
         return False
 
     def expect_end(self) -> None:
-        token = self._peek()
-        if token.kind != "end":
-            raise ParseError(f"trailing input: {token.value!r}", token.position, token.line)
+        kind, value, _ = self._tokens[self._index]
+        if kind != "end":
+            raise self._error(f"trailing input: {value!r}")
 
     # -- literals ------------------------------------------------------------
 
+    def _to_number(self, token: _Token) -> "int | float":
+        text = token[1]
+        try:
+            if "." in text or "e" in text or "E" in text:
+                return float(text)
+            return int(text)
+        except ValueError:  # past int()'s digit limit
+            raise self._error(f"malformed number {text!r}", token) from None
+
     def _literal(self) -> Child:
-        token = self._peek()
-        if token.kind == "string":
-            self._advance()
-            return token.value
-        if token.kind == "number":
-            self._advance()
-            if any(ch in token.value for ch in ".eE"):
-                return float(token.value)
-            return int(token.value)
-        if token.kind == "ident" and token.value in ("true", "false"):
-            self._advance()
-            return token.value == "true"
-        raise ParseError(f"expected a literal, found {token.value or token.kind!r}",
-                         token.position, token.line)
+        token = self._tokens[self._index]
+        kind, value, _ = token
+        if kind == "string":
+            self._index += 1
+            return value
+        if kind == "number":
+            self._index += 1
+            return self._to_number(token)
+        if kind == "ident" and (value == "true" or value == "false"):
+            self._index += 1
+            return value == "true"
+        raise self._unexpected("a literal")
 
     def _at_literal(self) -> bool:
-        token = self._peek()
-        return token.kind in ("string", "number") or (
-            token.kind == "ident" and token.value in ("true", "false")
+        kind, value, _ = self._tokens[self._index]
+        return kind == "string" or kind == "number" or (
+            kind == "ident" and (value == "true" or value == "false")
         )
 
     def _attrs(self, allow_vars: bool) -> tuple[tuple[str, "str | Var"], ...]:
@@ -284,11 +262,10 @@ class _Parser:
         while not self._at_punct("}"):
             key = self._expect_label()
             self._expect("eq")
-            if allow_vars and self._at_keyword("var"):
-                self._advance()
-                pairs.append((key, Var(self._expect("ident").value)))
+            if allow_vars and self._eat_keyword("var"):
+                pairs.append((key, Var(self._expect("ident"))))
             else:
-                pairs.append((key, self._expect("string").value))
+                pairs.append((key, self._expect("string")))
             if not self._eat_punct(","):
                 break
         self._expect("punct", "}")
@@ -297,19 +274,23 @@ class _Parser:
     # -- data terms ----------------------------------------------------------
 
     def parse_data(self) -> Child:
+        """Parse one data term or literal."""
         if self._at_literal():
             return self._literal()
+        label_token = self._tokens[self._index]
         label = self._expect_label()
         attrs: tuple[tuple[str, str], ...] = ()
         if self._eat_punct("@"):
             attrs = self._attrs(allow_vars=False)  # type: ignore[assignment]
         if self._eat_punct("{"):
-            children = self._data_children("}")
-            return Data(label, children, False, attrs)
-        if self._eat_punct("["):
-            children = self._data_children("]")
-            return Data(label, children, True, attrs)
-        return Data(label, (), True, attrs)
+            children, ordered = self._data_children("}"), False
+        elif self._eat_punct("["):
+            children, ordered = self._data_children("]"), True
+        else:
+            children, ordered = (), True
+        if not label:  # checked once the term is complete, as Data() would
+            raise self._error("empty back-quoted label", label_token)
+        return Data(label, children, ordered, attrs)
 
     def _data_children(self, closing: str) -> tuple[Child, ...]:
         children: list[Child] = []
@@ -323,46 +304,45 @@ class _Parser:
     # -- query terms ----------------------------------------------------------
 
     def parse_query(self) -> Query:
-        token = self._peek()
-        if token.kind == "cmp":
-            self._advance()
-            if self._at_keyword("var"):
-                self._advance()
-                return Compare(token.value, Var(self._expect("ident").value))
-            literal = self._literal()
-            return Compare(token.value, literal)  # type: ignore[arg-type]
-        if self._at_keyword("var"):
-            self._advance()
-            name = self._expect("ident").value
-            if self._peek().kind == "arrow":
-                self._advance()
-                return Var(name, self.parse_query())
-            return Var(name)
-        if self._at_keyword("desc"):
-            self._advance()
-            return Desc(self.parse_query())
-        if self._at_keyword("without"):
-            self._advance()
-            return Without(self.parse_query())
-        if self._at_keyword("optional"):
-            self._advance()
-            inner = self.parse_query()
-            default: Child | None = None
-            if self._at_keyword("default"):
-                self._advance()
-                default = self.parse_data()
-            return Optional_(inner, default)
-        if self._at_keyword("re"):
-            self._advance()
-            return RegexMatch(self._expect("string").value)
+        kind, value, _ = self._tokens[self._index]
+        if kind == "cmp":
+            self._index += 1
+            if self._eat_keyword("var"):
+                return Compare(value, Var(self._expect("ident")))
+            return Compare(value, self._literal())  # type: ignore[arg-type]
+        if kind == "ident":
+            if value == "var":
+                self._index += 1
+                name = self._expect("ident")
+                if self._tokens[self._index][0] == "arrow":
+                    self._index += 1
+                    return Var(name, self.parse_query())
+                return Var(name)
+            if value == "desc":
+                self._index += 1
+                return Desc(self.parse_query())
+            if value == "without":
+                self._index += 1
+                return Without(self.parse_query())
+            if value == "optional":
+                self._index += 1
+                inner = self.parse_query()
+                default: Child | None = None
+                if self._eat_keyword("default"):
+                    default = self.parse_data()
+                return Optional_(inner, default)
+            if value == "re":
+                self._index += 1
+                return RegexMatch(self._expect("string"))
         if self._at_literal():
             return self._literal()
         return self._qterm()
 
     def _qterm(self) -> QTerm:
+        label_token = self._tokens[self._index]
         label: "str | LabelVar"
         if self._eat_punct("^"):
-            label = LabelVar(self._expect("ident").value)
+            label = LabelVar(self._expect("ident"))
         elif self._eat_punct("*"):
             label = "*"
         else:
@@ -371,21 +351,21 @@ class _Parser:
         if self._eat_punct("@"):
             attrs = self._attrs(allow_vars=True)
         if self._eat_punct("{"):
-            if self._eat_punct("{"):
-                children = self._query_children("}")
-                self._expect("punct", "}")
-                return QTerm(label, children, False, False, attrs)
+            ordered, total = False, not self._eat_punct("{")
             children = self._query_children("}")
-            return QTerm(label, children, False, True, attrs)
-        if self._eat_punct("["):
-            if self._eat_punct("["):
-                children = self._query_children("]")
-                self._expect("punct", "]")
-                return QTerm(label, children, True, False, attrs)
+            if not total:
+                self._expect("punct", "}")
+        elif self._eat_punct("["):
+            ordered, total = True, not self._eat_punct("[")
             children = self._query_children("]")
-            return QTerm(label, children, True, True, attrs)
-        # Bare label: match any children (unordered partial, no patterns).
-        return QTerm(label, (), False, False, attrs)
+            if not total:
+                self._expect("punct", "]")
+        else:
+            # Bare label: match any children (unordered partial, no patterns).
+            children, ordered, total = (), False, False
+        if label == "":  # checked once the term is complete, as QTerm() would
+            raise self._error("empty back-quoted label", label_token)
+        return QTerm(label, children, ordered, total, attrs)
 
     def _query_children(self, closing: str) -> tuple[Query, ...]:
         children: list[Query] = []
@@ -399,34 +379,25 @@ class _Parser:
     # -- construct terms -------------------------------------------------------
 
     def parse_construct(self) -> Construct:
-        if self._at_keyword("var"):
-            self._advance()
-            return Var(self._expect("ident").value)
-        if self._at_keyword("all"):
-            self._advance()
-            inner = self.parse_construct()
-            order_by: tuple[str, ...] = ()
-            if self._at_keyword("order"):
-                self._advance()
-                self._expect("ident", "by")
-                self._expect("punct", "[")
-                names = []
-                while not self._at_punct("]"):
-                    names.append(self._expect("ident").value)
-                    if not self._eat_punct(","):
-                        break
-                self._expect("punct", "]")
-                order_by = tuple(names)
-            return All(inner, order_by)
-        if self._at_literal():
+        kind, value, _ = self._tokens[self._index]
+        if kind == "ident":
+            if value == "var":
+                self._index += 1
+                return Var(self._expect("ident"))
+            if value == "all":
+                self._index += 1
+                return self._all()
+            if value == "true" or value == "false":
+                return self._literal()
+            after = self._tokens[self._index + 1]  # an ident is never last
+            if after[1] == "(" and after[0] == "punct":
+                return self._call()
+        elif kind == "string" or kind == "number":
             return self._literal()
-        # Label: plain, variable (^X), or function/aggregation call.
-        token = self._peek()
-        if token.kind == "ident" and self._peek(1).kind == "punct" and self._peek(1).value == "(":
-            return self._call()
+        # Label: plain or variable (^X).
         label: "str | Var"
         if self._eat_punct("^"):
-            label = Var(self._expect("ident").value)
+            label = Var(self._expect("ident"))
         else:
             label = self._expect_label()
         attrs: tuple[tuple[str, "str | Var"], ...] = ()
@@ -440,12 +411,26 @@ class _Parser:
             return CTerm(label, children, True, attrs)
         return CTerm(label, (), True, attrs)
 
+    def _all(self) -> All:
+        inner = self.parse_construct()
+        order_by: tuple[str, ...] = ()
+        if self._eat_keyword("order"):
+            self._expect("ident", "by")
+            self._expect("punct", "[")
+            names = []
+            while not self._at_punct("]"):
+                names.append(self._expect("ident"))
+                if not self._eat_punct(","):
+                    break
+            self._expect("punct", "]")
+            order_by = tuple(names)
+        return All(inner, order_by)
+
     def _call(self) -> Construct:
-        name = self._expect("ident").value
+        name = self._expect("ident")
         self._expect("punct", "(")
-        if name in _AGG_FNS and self._at_keyword("var"):
-            self._advance()
-            var_name = self._expect("ident").value
+        if name in _AGG_FNS and self._eat_keyword("var"):
+            var_name = self._expect("ident")
             self._expect("punct", ")")
             return Agg(name, var_name)
         args: list[Construct] = []
@@ -506,26 +491,42 @@ def _escape_string(value: str) -> str:
     return f'"{out}"'
 
 
-def _is_plain_ident(label: str) -> bool:
-    if not label or label in _KEYWORDS:
-        return False
-    if not (label[0].isalpha() or label[0] == "_"):
-        return False
-    if label[-1] in ".-":
-        return False
-    return all(ch.isalnum() or ch in "_-.:" for ch in label)
+#: Memo of label -> its text; cleared when full, so it stays bounded.  The
+#: text depends on the label alone, so racing threads at worst recompute.
+_LABEL_TEXTS: dict[str, str] = {}
+_LABEL_TEXTS_MAX = 4096
 
 
 def _label_text(label: str) -> str:
-    return label if _is_plain_ident(label) else f"`{label}`"
+    """*label* as the scanner reads it back: plain ident or back-quoted."""
+    text = _LABEL_TEXTS.get(label)
+    if text is None:
+        if "`" in label:
+            raise TermError(f"cannot serialise label {label!r}: it contains '`'")
+        plain = label not in _KEYWORDS and _reads_as_ident(label)
+        text = label if plain else f"`{label}`"
+        if len(_LABEL_TEXTS) >= _LABEL_TEXTS_MAX:
+            _LABEL_TEXTS.clear()
+        _LABEL_TEXTS[label] = text
+    return text
 
 
-def _scalar_text(value: Child) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, str):
-        return _escape_string(value)
-    return repr(value)
+def _reads_as_ident(label: str) -> bool:
+    """True if the scanner reads *label* back as one identifier token."""
+    try:
+        return _scan(label)[0] == ("ident", label, 0)
+    except ParseError:
+        return False
+
+
+def _float_text(value: float) -> str:
+    if not math.isfinite(value):
+        raise TermError(f"cannot serialise non-finite float {value!r}")
+    return float.__repr__(value)
+
+
+def _bool_text(value: bool) -> str:
+    return "true" if value else "false"
 
 
 def _attrs_text(attrs: tuple[tuple[str, object], ...]) -> str:
@@ -543,65 +544,107 @@ def _attrs_text(attrs: tuple[tuple[str, object], ...]) -> str:
     return " @{" + ", ".join(parts) + "}"
 
 
+def _children_text(children: tuple) -> str:
+    return ", ".join([to_text(child) for child in children])
+
+
+def _data_text(term: Data) -> str:
+    label = _label_text(term.label)
+    if term.attrs:
+        label += _attrs_text(term.attrs)
+    if not term.children:
+        return label if term.ordered else label + "{}"
+    inner = _children_text(term.children)
+    return f"{label}[{inner}]" if term.ordered else f"{label}{{{inner}}}"
+
+
+def _var_text(term: Var) -> str:
+    if term.inner is not None:
+        return f"var {term.name} -> {to_text(term.inner)}"
+    return f"var {term.name}"
+
+
+def _optional_text(term: Optional_) -> str:
+    text = f"optional {to_text(term.inner)}"
+    if term.default is not None:
+        text += f" default {to_text(term.default)}"
+    return text
+
+
+def _compare_text(term: Compare) -> str:
+    rhs = f"var {term.rhs.name}" if isinstance(term.rhs, Var) else to_text(term.rhs)
+    return f"{term.op} {rhs}"
+
+
+def _qterm_text(term: QTerm) -> str:
+    if isinstance(term.label, LabelVar):
+        label = f"^{term.label.name}"
+    elif term.label == "*":
+        label = "*"
+    else:
+        label = _label_text(term.label)
+    label += _attrs_text(term.attrs)
+    if not term.children and not term.ordered and not term.total:
+        return label
+    inner = _children_text(term.children)
+    if term.ordered:
+        return f"{label}[{inner}]" if term.total else f"{label}[[{inner}]]"
+    return f"{label}{{{inner}}}" if term.total else f"{label}{{{{{inner}}}}}"
+
+
+def _cterm_text(term: CTerm) -> str:
+    if isinstance(term.label, Var):
+        label = f"^{term.label.name}"
+    else:
+        label = _label_text(term.label)
+    label += _attrs_text(term.attrs)
+    if not term.children and term.ordered:
+        return label
+    inner = _children_text(term.children)
+    return f"{label}[{inner}]" if term.ordered else f"{label}{{{inner}}}"
+
+
+def _all_text(term: All) -> str:
+    text = f"all {to_text(term.inner)}"
+    if term.order_by:
+        text += " order by [" + ", ".join(term.order_by) + "]"
+    return text
+
+
+#: Writer per exact term type; subclasses resolve through their MRO.
+_WRITERS: dict[type, Callable[[Any], str]] = {
+    Data: _data_text,
+    str: _escape_string,
+    int: int.__repr__,
+    float: _float_text,
+    bool: _bool_text,
+    Var: _var_text,
+    Desc: lambda term: f"desc {to_text(term.inner)}",
+    Without: lambda term: f"without {to_text(term.inner)}",
+    Optional_: _optional_text,
+    Compare: _compare_text,
+    RegexMatch: lambda term: f"re {_escape_string(term.pattern)}",
+    QTerm: _qterm_text,
+    CTerm: _cterm_text,
+    All: _all_text,
+    Agg: lambda term: f"{term.fn}(var {term.var})",
+    Fn: lambda term: f"{term.name}(" + _children_text(term.args) + ")",
+}
+
+
 def to_text(term: "Query | Construct | Child") -> str:
-    """Serialise any term to parseable text (round-trip safe)."""
-    if is_scalar(term):
-        return _scalar_text(term)  # type: ignore[arg-type]
-    if isinstance(term, Data):
-        label = _label_text(term.label) + _attrs_text(term.attrs)
-        if not term.children and term.ordered:
-            return label
-        inner = ", ".join(to_text(child) for child in term.children)
-        return f"{label}[{inner}]" if term.ordered else f"{label}{{{inner}}}"
-    if isinstance(term, Var):
-        if term.inner is not None:
-            return f"var {term.name} -> {to_text(term.inner)}"
-        return f"var {term.name}"
-    if isinstance(term, Desc):
-        return f"desc {to_text(term.inner)}"
-    if isinstance(term, Without):
-        return f"without {to_text(term.inner)}"
-    if isinstance(term, Optional_):
-        text = f"optional {to_text(term.inner)}"
-        if term.default is not None:
-            text += f" default {to_text(term.default)}"
-        return text
-    if isinstance(term, Compare):
-        rhs = f"var {term.rhs.name}" if isinstance(term.rhs, Var) else _scalar_text(term.rhs)
-        return f"{term.op} {rhs}"
-    if isinstance(term, RegexMatch):
-        return f"re {_escape_string(term.pattern)}"
-    if isinstance(term, QTerm):
-        if isinstance(term.label, LabelVar):
-            label = f"^{term.label.name}"
-        elif term.label == "*":
-            label = "*"
+    """Serialise any term to parseable text (round-trip safe).
+
+    Raises :class:`~repro.errors.TermError` for what the text cannot carry:
+    a non-finite float (``inf``, ``-inf``, ``nan``) or a label containing a
+    back-quote.
+    """
+    writer = _WRITERS.get(type(term))
+    if writer is None:
+        for cls in type(term).__mro__:
+            writer = _WRITERS.get(cls)
+            if writer is not None:
+                break
         else:
-            label = _label_text(term.label)
-        label += _attrs_text(term.attrs)
-        if not term.children and not term.ordered and not term.total:
-            return label
-        inner = ", ".join(to_text(child) for child in term.children)
-        if term.ordered:
-            return f"{label}[{inner}]" if term.total else f"{label}[[{inner}]]"
-        return f"{label}{{{inner}}}" if term.total else f"{label}{{{{{inner}}}}}"
-    if isinstance(term, CTerm):
-        if isinstance(term.label, Var):
-            label = f"^{term.label.name}"
-        else:
-            label = _label_text(term.label)
-        label += _attrs_text(term.attrs)
-        if not term.children and term.ordered:
-            return label
-        inner = ", ".join(to_text(child) for child in term.children)
-        return f"{label}[{inner}]" if term.ordered else f"{label}{{{inner}}}"
-    if isinstance(term, All):
-        text = f"all {to_text(term.inner)}"
-        if term.order_by:
-            text += " order by [" + ", ".join(term.order_by) + "]"
-        return text
-    if isinstance(term, Agg):
-        return f"{term.fn}(var {term.var})"
-    if isinstance(term, Fn):
-        return f"{term.name}(" + ", ".join(to_text(arg) for arg in term.args) + ")"
-    raise ParseError(f"cannot serialise {term!r}")
+            raise ParseError(f"cannot serialise {term!r}")
+    return writer(term)

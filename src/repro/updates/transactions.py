@@ -58,9 +58,20 @@ class Transaction:
         when this is the outermost transaction on each store)."""
         self._check_open()
         self._finished = True
+        scopes = list(zip(self._stores, self._snapshots, self._marks))
+        for i, (store, _snapshot, mark) in enumerate(scopes):
+            try:
+                store._end_buffering(mark, commit=True)
+            except BaseException:
+                # The store could not make the commit durable (its
+                # ``_persist`` raised): it and the stores not yet committed
+                # go back to their snapshots, and the latter stop buffering.
+                for later, snapshot, _mark in scopes[i:]:
+                    later.restore(snapshot)
+                for later, _snapshot, later_mark in scopes[i + 1:]:
+                    later._end_buffering(later_mark, commit=False)
+                raise
         self.committed = True
-        for store, mark in zip(self._stores, self._marks):
-            store._end_buffering(mark, commit=True)
 
     def rollback(self) -> None:
         """Restore every store to its snapshot; watchers hear nothing of

@@ -16,8 +16,8 @@ import threading
 from dataclasses import dataclass, field
 from urllib.parse import urlparse
 
-from repro.errors import NodeNotFound, WebError
-from repro.terms.ast import Data
+from repro.errors import NodeNotFound, TermError, WebError
+from repro.terms.ast import Data, canonical_str
 from repro.terms.parser import to_text
 from repro.web.scheduler import Scheduler
 
@@ -42,7 +42,17 @@ class Message:
 
     @staticmethod
     def of(src: str, dst: str, payload: Data, kind: str = "event") -> "Message":
-        return Message(src, dst, payload, kind, len(to_text(payload)))
+        return Message(src, dst, payload, kind, _size(payload))
+
+
+def _size(payload: Data) -> int:
+    """The payload's bytes as text.  The payload travels as a term, so one
+    the text codec refuses (a non-finite float) is sized from its
+    canonical string instead."""
+    try:
+        return len(to_text(payload))
+    except TermError:
+        return len(canonical_str(payload))
 
 
 @dataclass

@@ -106,8 +106,9 @@ class ResourceStore:
         """True while a transaction is open (notifications are buffered)."""
         return self._tx_depth > 0
 
-    def _notify(self, uri: str, old: "Data | None", new: "Data | None",
-                version: int) -> None:
+    def _notify(self, uri: str, previous: "Document | None",
+                new: "Data | None", version: int) -> None:
+        old = previous.root if previous is not None else None
         for watcher in self._immediate_watchers:
             watcher(uri, old, new, version)
         if self._tx_depth > 0:
@@ -115,8 +116,18 @@ class ResourceStore:
             return
         # A mutation outside any transaction is its own (single-op) commit:
         # it hits the persistence seam first, then the watchers, exactly
-        # like an outermost transactional flush.
-        self._persist(((uri, old, new, version),))
+        # like an outermost transactional flush.  A commit the seam refuses
+        # never happened: the previous document comes back.
+        try:
+            self._persist(((uri, old, new, version),))
+        except BaseException:
+            snapshot = dict(self._documents)
+            if previous is None:
+                del snapshot[uri]
+            else:
+                snapshot[uri] = previous
+            self.restore(snapshot)
+            raise
         for watcher in self._watchers:
             watcher(uri, old, new, version)
 
@@ -163,7 +174,8 @@ class ResourceStore:
         nothing beyond the live documents, so this is a no-op; durable
         backends (:mod:`repro.store`) override it to append a
         write-ahead-log record.  Raising here propagates to the mutator —
-        a commit that cannot be made durable is a failed commit."""
+        a commit that cannot be made durable is a failed commit, and its
+        changes are rolled back like a failed transaction's."""
 
     def deliver_replayed(self) -> int:
         """Deliver recovery-replayed commit notifications; the number of
@@ -213,7 +225,7 @@ class ResourceStore:
             document = Document(uri, root, version)
             self._documents[uri] = document
             self.writes += 1
-            self._notify(uri, old.root if old else None, root, version)
+            self._notify(uri, old, root, version)
         return document
 
     def update(self, uri: str, transform: Callable[[Data], Data]) -> Document:
@@ -233,7 +245,7 @@ class ResourceStore:
                           self._version_floor.get(uri, 0)) + 1
             self._version_floor[uri] = version
             self.writes += 1
-            self._notify(uri, old.root, None, version)
+            self._notify(uri, old, None, version)
 
     # -- snapshots (transactions) ---------------------------------------------------
 

@@ -12,7 +12,7 @@ import string
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import FrameError, IngestError, WebError
+from repro.errors import FrameError, IngestError, TermError, WebError
 from repro.ingest import wire
 from repro.ingest.admission import IngestGateway
 from repro.terms import Data, canonical_str, parse_data
@@ -117,6 +117,13 @@ class TestMalformedFrames:
     def test_oversized_payload_rejected_at_encode(self):
         with pytest.raises(FrameError):
             wire.frame(b"x" * 100, max_frame=64)
+
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_float_refused_at_encode(self, value):
+        # Written as text it would read back as a label, not a float.
+        with pytest.raises(TermError, match="non-finite"):
+            wire.encode_event(Data("reading", (Data("v", (value,)),)),
+                              sender="s", message_id=1)
 
     def test_non_utf8_payload_rejected(self):
         with pytest.raises(FrameError):

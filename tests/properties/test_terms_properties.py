@@ -5,10 +5,13 @@ round-trip parsing, canonical equality, self-matching, permutation
 invariance of unordered terms, and bindings algebra.
 """
 
+import math
 import string
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.errors import TermError
 from repro.terms import (
     Bindings,
     CTerm,
@@ -74,6 +77,19 @@ class TestRoundTripProperties:
     def test_scalar_round_trip(self, value):
         parsed = parse_data(to_text(d("w", value)))
         assert values_equal(parsed.children[0], value)
+
+    @given(st.floats())
+    def test_float_round_trip_or_refusal(self, value):
+        """Every finite float reads back equal (the sign of zero included);
+        ``inf``, ``-inf`` and ``nan`` are refused, never written as labels."""
+        term = d("w", value)
+        if math.isfinite(value):
+            parsed = parse_data(to_text(term))
+            assert parsed == term
+            assert math.copysign(1.0, parsed.children[0]) == math.copysign(1.0, value)
+        else:
+            with pytest.raises(TermError, match="non-finite"):
+                to_text(term)
 
 
 class TestEqualityProperties:

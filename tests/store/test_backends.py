@@ -12,7 +12,7 @@ import os
 import pytest
 
 from repro import d, to_text
-from repro.errors import StoreError
+from repro.errors import StoreError, TermError
 from repro.store import (
     BACKENDS,
     DurableResourceStore,
@@ -228,6 +228,54 @@ class TestRecovery:
         # 5 commits, checkpoints after #2 and #4: one commit replays.
         assert reopened.replay_pending == 1
         assert reopened.get(DOC) == d("doc", 4)
+        reopened.close()
+
+    def test_non_finite_float_is_refused_and_reopen_round_trips(
+            self, tmp_path, make_config):
+        """A body the codec cannot carry fails its commit loudly; it never
+        comes back from the log as a different document."""
+        config = make_config(tmp_path)
+        store = open_store(config)
+        store.put(DOC, d("reading", d("v", 1.5), d("w", -0.0)))
+        bad = d("reading", d("v", float("inf")), d("w", float("nan")))
+        with pytest.raises(TermError, match="non-finite float inf"):
+            store.put(OTHER, bad)
+        with pytest.raises(TermError, match="non-finite float inf"):
+            store.put(DOC, bad)
+        # The refused commits never happened, in memory either.
+        assert OTHER not in store
+        assert store.get(DOC) == d("reading", d("v", 1.5), d("w", -0.0))
+        store.checkpoint()
+        store.put(DOC, d("reading", d("v", 2.5)))  # the log goes on
+        store.put(OTHER, d("reading", d("v", 3.5)))
+        store.close()
+
+        reopened = open_store(config)
+        assert reopened.get(DOC) == d("reading", d("v", 2.5))
+        assert reopened.get(OTHER) == d("reading", d("v", 3.5))
+        reopened.close()
+
+    def test_refused_transaction_commit_rolls_back(self, tmp_path,
+                                                    make_config):
+        from repro.updates import Transaction
+        config = make_config(tmp_path)
+        store = open_store(config)
+        store.put(DOC, d("doc", 1))
+        heard = []
+        store.watch(lambda uri, old, new, version: heard.append(uri))
+        with pytest.raises(TermError, match="non-finite float nan"):
+            with Transaction(store):
+                store.put(DOC, d("doc", 2))
+                store.put(OTHER, d("doc", float("nan")))
+        assert store.get(DOC) == d("doc", 1) and OTHER not in store
+        assert heard == [] and not store.in_transaction()
+        store.checkpoint()
+        store.put(OTHER, d("doc", 3))
+        store.close()
+
+        reopened = open_store(config)
+        assert reopened.get(DOC) == d("doc", 1)
+        assert reopened.get(OTHER) == d("doc", 3)
         reopened.close()
 
     def test_mutating_a_closed_store_fails_loudly(self, tmp_path,

@@ -1,8 +1,10 @@
 """Unit tests for the textual term syntax (parser + serializer)."""
 
+import sys
+
 import pytest
 
-from repro.errors import ParseError
+from repro.errors import ParseError, TermError
 from repro.terms import (
     Agg,
     All,
@@ -212,3 +214,84 @@ class TestRoundTrip:
     def test_float_round_trip(self):
         for value in (0.1, 1e-9, 12345.678, -2.5e10):
             assert parse_data(to_text(d("a", value))) == d("a", value)
+
+    def test_label_ending_in_colon_round_trips(self):
+        # The scanner never ends an identifier in ':', so such a label
+        # must be written back-quoted.
+        for label in ("a:", "ns:b:", "x-y", "a.b"):
+            assert parse_data(to_text(d(label, 1))) == d(label, 1)
+
+
+class TestNonFiniteFloats:
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_to_text_refuses(self, value):
+        with pytest.raises(TermError, match=repr(value)):
+            to_text(d("v", value))
+
+    def test_refused_in_every_position(self):
+        inf = float("inf")
+        for term in (inf, u("r", d("a", 1), inf), Compare(">", inf),
+                     CTerm("out", (inf,)), Fn("add", (Var("X"), inf))):
+            with pytest.raises(TermError, match="non-finite"):
+                to_text(term)
+
+    def test_parsed_overflow_is_not_written_back(self):
+        # "1e999" reads as inf; the writer refuses it instead of emitting
+        # text that reads back as the label `inf`.
+        term = parse_data("v[1e999]")
+        with pytest.raises(TermError):
+            to_text(term)
+
+    def test_backquote_in_label_refused(self):
+        with pytest.raises(TermError, match="contains '`'"):
+            to_text(d("a`b"))
+
+
+class TestMalformedTextRaisesParseError:
+    @pytest.mark.parametrize("text, message, position", [
+        ("²", "unexpected character '²'", 0),
+        ("a[-²]", "unexpected character '-'", 2),
+        ("a[1²]", "unexpected character '²'", 3),
+        ("a[1e²]", "expected ']', found 'e²'", 3),
+        ("½", "unexpected character '½'", 0),
+        ("``", "empty back-quoted label", 0),
+        ("a[1, ``]", "empty back-quoted label", 5),
+        ("a[\n``]", "empty back-quoted label", 3),
+    ])
+    def test_data(self, text, message, position):
+        with pytest.raises(ParseError, match=message) as info:
+            parse_data(text)
+        assert info.value.position == position
+        assert info.value.line == text.count("\n", 0, position) + 1
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                        reason="int() has no digit limit on this interpreter")
+    def test_number_past_the_int_digit_limit(self):
+        with pytest.raises(ParseError, match="malformed number"):
+            parse_data("1" * (sys.get_int_max_str_digits() + 1))
+
+    @pytest.mark.parametrize("parse", [parse_query, parse_construct])
+    @pytest.mark.parametrize("text", ["²", "f[-²]", "f[1²]"])
+    def test_query_and_construct(self, parse, text):
+        with pytest.raises(ParseError):
+            parse(text)
+
+    @pytest.mark.parametrize("text", ["``", "f{``}", "f[[var X, ``]]"])
+    def test_empty_query_label(self, text):
+        with pytest.raises(ParseError, match="empty back-quoted label"):
+            parse_query(text)
+
+    def test_empty_backquoted_attribute_name_still_accepted(self):
+        term = parse_data('a @{``="v"}')
+        assert term == Data("a", (), True, (("", "v"),))
+        assert parse_data(to_text(term)) == term
+
+    def test_unicode_letters_and_decimal_digits_still_accepted(self):
+        assert parse_data("été[٣]") == d("été", 3)
+        assert parse_data("x²") == d("x²")
+
+    def test_error_line_is_counted_from_the_text(self):
+        with pytest.raises(ParseError) as info:
+            parse_data('a[\n"x\ny",\n\n !]')
+        assert (info.value.position, info.value.line) == (12, 5)
+        assert str(info.value) == "line 5: unexpected character '!'"

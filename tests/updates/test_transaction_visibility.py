@@ -129,6 +129,39 @@ class TestBufferedNotifications:
         assert [op[2] for op in commits[0]] == \
             [d("doc", "outer-1"), d("doc", "outer-2")]
 
+    def test_commit_refused_at_the_seam_never_happened(self):
+        """A commit whose ``_persist`` raises is rolled back, outside a
+        transaction and at a transaction's commit alike; immediate
+        watchers hear the revert, transactional watchers hear nothing."""
+        store, seen = watched_store()
+        store.put(DOC, d("doc", 1))
+        seen.clear()
+        cache = []
+        store.watch(lambda uri, old, new, v: cache.append((new, v)),
+                    immediate=True)
+
+        def refuse(ops):
+            raise OSError("disk full")
+
+        store._persist = refuse
+        with pytest.raises(OSError):
+            store.put(DOC, d("doc", 2))
+        with pytest.raises(OSError):
+            store.put("http://a.example/new", d("new"))
+        assert store.get(DOC) == d("doc", 1) and store.version(DOC) == 1
+        assert "http://a.example/new" not in store
+        # The revert is announced at the burned version (floors never fall).
+        assert cache[:2] == [(d("doc", 2), 2), (d("doc", 1), 2)]
+
+        other = ResourceStore()
+        with pytest.raises(OSError):
+            with Transaction(store, other):
+                store.put(DOC, d("doc", 3))
+                other.put(DOC, d("doc", 3))
+        assert store.get(DOC) == d("doc", 1) and DOC not in other
+        assert not store.in_transaction() and not other.in_transaction()
+        assert seen == []
+
 
 class TestEngineAtomicSequence:
     def _node(self):

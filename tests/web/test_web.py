@@ -1,5 +1,7 @@
 """Unit tests for the simulated Web substrate."""
 
+import math
+
 import pytest
 
 from repro.errors import NodeNotFound, ResourceNotFound, WebError
@@ -117,6 +119,21 @@ class TestNetwork:
         assert sim.stats.messages == 2
         assert sim.stats.bytes > 0
         assert sim.stats.sent_by["http://a.example"] == 2
+
+    def test_non_finite_float_payload_travels(self):
+        """Message sizing never fails a send: the text codec refuses
+        ``inf``/``nan``, but the simulated network carries the term."""
+        sim = Simulation()
+        a = sim.node("http://a.example")
+        b = sim.node("http://b.example")
+        b.put("http://b.example/doc", d("reading", float("nan")))
+        received = []
+        b.on_event(received.append)
+        a.raise_event("http://b.example", d("reading", float("inf")))
+        sim.run()
+        assert [e.term for e in received] == [d("reading", float("inf"))]
+        assert math.isnan(a.get("http://b.example/doc").children[0])
+        assert sim.stats.messages == 3 and sim.stats.bytes > 0
 
     def test_broker_doubles_messages(self):
         direct = Simulation()
